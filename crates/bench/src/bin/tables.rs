@@ -24,7 +24,7 @@ use std::time::Instant;
 use zonal_bench::{
     cell_factor, paper_cfg, partition_of, partitions, run_full_compressed, us_zones, SEED,
 };
-use zonal_cluster::{run_scaling, ClusterConfig};
+use zonal_cluster::{run_scaling, Assignment, ClusterConfig};
 use zonal_core::baseline;
 use zonal_core::pipeline::Zones;
 use zonal_core::timing::STEP_NAMES;
@@ -497,7 +497,7 @@ fn schedule(zones: &Zones, cpd: u32, seed: u64) {
         "policy", "8 nodes", "16 nodes", "imbal@16", "extra msgs"
     );
     hline(70);
-    for policy in zonal_cluster::Policy::ALL {
+    for policy in Assignment::ALL {
         let o8 = zonal_cluster::simulate(policy, &costs, &cells, 8, 1e-4);
         let o16 = zonal_cluster::simulate(policy, &costs, &cells, 16, 1e-4);
         println!(
@@ -509,6 +509,16 @@ fn schedule(zones: &Zones, cpd: u32, seed: u64) {
             o16.extra_messages
         );
     }
+    // Oracle: LPT by measured cost, a simulator-only bound.
+    let oracle16 = zonal_cluster::lpt_makespan(&costs, 16);
+    println!(
+        "{:<24} {:>9.2} {:>9.2} {:>9.2} {:>12}",
+        "OracleLpt",
+        zonal_cluster::lpt_makespan(&costs, 8),
+        oracle16,
+        oracle16 / (total / 16.0),
+        0
+    );
     println!(
         "\nlower bound at 16 nodes (perfect balance): {:.2}s",
         total / 16.0

@@ -9,7 +9,7 @@
 //!
 //! All endpoint operations are fallible and return [`ClusterError`]
 //! instead of panicking: a dropped peer is an event the fault-tolerant
-//! runners observe and recover from, not a process abort.
+//! runner observes and recovers from, not a process abort.
 
 use crate::error::{ClusterError, ClusterResult};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -72,7 +72,6 @@ impl NetworkModel {
 /// One node's communication endpoint.
 pub struct Comm<T> {
     rank: usize,
-    size: usize,
     senders: Vec<Sender<(usize, T)>>,
     receiver: Receiver<(usize, T)>,
 }
@@ -81,11 +80,6 @@ impl<T: Send> Comm<T> {
     /// This endpoint's rank (0 is the master by convention).
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Number of endpoints in the cluster.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Send `msg` to `dest` (non-blocking, unbounded buffering). Errors
@@ -104,16 +98,9 @@ impl<T: Send> Comm<T> {
             })
     }
 
-    /// Block until a message arrives; returns `(source_rank, message)`.
-    /// Errors when every peer endpoint has been dropped.
-    pub fn recv(&self) -> ClusterResult<(usize, T)> {
-        self.receiver
-            .recv()
-            .map_err(|_| ClusterError::Disconnected { rank: self.rank })
-    }
-
-    /// Block for at most `timeout`. A timeout is the failure detector's
-    /// raw signal: somebody who should have reported has not.
+    /// Block for at most `timeout`; returns `(source_rank, message)`. A
+    /// timeout is the failure detector's raw signal: somebody who should
+    /// have reported has not.
     pub fn recv_timeout(&self, timeout: Duration) -> ClusterResult<(usize, T)> {
         self.receiver.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => ClusterError::RecvTimeout {
@@ -122,13 +109,6 @@ impl<T: Send> Comm<T> {
             },
             RecvTimeoutError::Disconnected => ClusterError::Disconnected { rank: self.rank },
         })
-    }
-
-    /// Receive exactly one message from every other rank (the master's
-    /// fault-free gather). Fails on disconnect; fault-tolerant gathers
-    /// drive [`Comm::recv_timeout`] directly instead.
-    pub fn gather_all(&self) -> ClusterResult<Vec<(usize, T)>> {
-        (0..self.size - 1).map(|_| self.recv()).collect()
     }
 }
 
@@ -156,7 +136,6 @@ impl Cluster {
             .enumerate()
             .map(|(rank, receiver)| Comm {
                 rank,
-                size: n,
                 senders: senders.clone(),
                 receiver,
             })
@@ -168,6 +147,8 @@ impl Cluster {
 mod tests {
     use super::*;
 
+    const WAIT: Duration = Duration::from_secs(10);
+
     #[test]
     fn point_to_point() {
         let mut comms = Cluster::new::<u32>(2).unwrap();
@@ -176,23 +157,8 @@ mod tests {
         assert_eq!(c0.rank(), 0);
         assert_eq!(c1.rank(), 1);
         c1.try_send(0, 42).unwrap();
-        let (from, v) = c0.recv().unwrap();
+        let (from, v) = c0.recv_timeout(WAIT).unwrap();
         assert_eq!((from, v), (1, 42));
-    }
-
-    #[test]
-    fn gather_from_workers() {
-        let comms = Cluster::new::<usize>(5).unwrap();
-        std::thread::scope(|s| {
-            let mut iter = comms.into_iter();
-            let master = iter.next().unwrap();
-            for c in iter {
-                s.spawn(move || c.try_send(0, c.rank() * 10).unwrap());
-            }
-            let mut got = master.gather_all().unwrap();
-            got.sort_unstable();
-            assert_eq!(got, vec![(1, 10), (2, 20), (3, 30), (4, 40)]);
-        });
     }
 
     #[test]
@@ -202,11 +168,11 @@ mod tests {
         let c0 = comms.pop().unwrap();
         std::thread::scope(|s| {
             s.spawn(move || {
-                let (_, ping) = c1.recv().unwrap();
+                let (_, ping) = c1.recv_timeout(WAIT).unwrap();
                 c1.try_send(0, format!("{ping}-pong")).unwrap();
             });
             c0.try_send(1, "ping".into()).unwrap();
-            let (_, reply) = c0.recv().unwrap();
+            let (_, reply) = c0.recv_timeout(WAIT).unwrap();
             assert_eq!(reply, "ping-pong");
         });
     }

@@ -3,8 +3,8 @@
 //! The paper's MPI job dies wholesale on any node or link failure; a
 //! production runtime must instead surface failures as values the caller
 //! can react to. Every fallible cluster API returns [`ClusterError`]
-//! instead of panicking, and [`RecoveryPolicy`] selects what the runners
-//! do when a failure is detected mid-run.
+//! instead of panicking, and [`RecoveryPolicy`] selects what the runner
+//! does when a failure is detected mid-run.
 
 use serde::Serialize;
 use std::fmt;
@@ -34,9 +34,6 @@ pub enum ClusterError {
         expected: u64,
         got: u64,
     },
-    /// Recovery was attempted but gave up (e.g. `Retry` exhausted its
-    /// attempts, or every worker died).
-    RecoveryExhausted { rank: usize, attempts: usize },
     /// Distributed runs diverged: the combined histograms differ between
     /// two configurations that must agree (`run_scaling`).
     ResultMismatch {
@@ -86,12 +83,6 @@ impl fmt::Display for ClusterError {
                     "corrupt payload from rank {from}: checksum {got:#x} != expected {expected:#x}"
                 )
             }
-            ClusterError::RecoveryExhausted { rank, attempts } => {
-                write!(
-                    f,
-                    "recovery for rank {rank} gave up after {attempts} attempt(s)"
-                )
-            }
             ClusterError::ResultMismatch {
                 n_nodes_reference,
                 n_nodes_divergent,
@@ -109,23 +100,26 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// What the runners do when failure detection fires.
+/// What the runner does when failure detection fires.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub enum RecoveryPolicy {
     /// Abort the run and return the first failure as a typed error — the
     /// paper's implicit policy, minus the process-wide crash.
     #[default]
     FailFast,
-    /// Re-execute a dead node's share, up to `max_attempts` fresh
-    /// attempts, charging `backoff_secs` of simulated time per retry.
+    /// Re-execute everything a dead node was handed as one fresh attempt
+    /// on the master, charging `backoff_secs` of simulated time. Faults
+    /// are one-shot, so the first attempt runs clean; `max_attempts` must
+    /// be at least 1.
     Retry {
         max_attempts: usize,
         backoff_secs: f64,
     },
-    /// Redistribute a dead node's orphaned partitions over the surviving
-    /// workers (round-robin), so the run completes with identical output
-    /// to a fault-free run. Lost or corrupt messages are retransmitted
-    /// under this policy as well.
+    /// Re-run a dead node's orphaned partitions one by one once every
+    /// worker has been released, priced as spread over the surviving
+    /// nodes longest first (LPT), so the run completes with identical
+    /// output to a fault-free run. Lost or corrupt messages are
+    /// retransmitted under this policy as well.
     Reassign,
 }
 

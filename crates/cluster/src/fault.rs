@@ -29,15 +29,6 @@ pub enum MsgFault {
     Corrupt,
 }
 
-/// What the injector tells a sender to do with its next result message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MsgAction {
-    Deliver,
-    Drop,
-    Delay(f64),
-    Corrupt,
-}
-
 /// A reproducible set of faults for one cluster run.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct FaultPlan {
@@ -51,11 +42,6 @@ impl FaultPlan {
     /// The empty plan: a fault-free run.
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// Whether the plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.msg_faults.is_empty()
     }
 
     /// Crash `rank` after it completes `after_partitions` partitions.
@@ -204,11 +190,6 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never fires (fault-free run).
-    pub fn inert(n_ranks: usize) -> Self {
-        FaultInjector::new(&FaultPlan::none(), n_ranks)
-    }
-
     /// If `rank` is due to crash this attempt, returns the partition
     /// count after which it dies — and disarms the fault, so the next
     /// attempt (retry) runs clean.
@@ -220,17 +201,14 @@ impl FaultInjector {
         }
     }
 
-    /// The action for `rank`'s next result message; consumed on first
-    /// call, so retransmissions deliver cleanly.
-    pub fn take_msg_action(&self, rank: usize) -> MsgAction {
+    /// The fault for `rank`'s next result message (`None`: deliver it
+    /// intact); consumed on first call, so retransmissions deliver
+    /// cleanly.
+    pub fn take_msg_fault(&self, rank: usize) -> Option<MsgFault> {
         if rank < self.msg_armed.len() && self.msg_armed[rank].swap(false, Ordering::AcqRel) {
-            match self.msg_fault[rank].expect("armed implies present") {
-                MsgFault::Drop => MsgAction::Drop,
-                MsgFault::Delay(s) => MsgAction::Delay(s),
-                MsgFault::Corrupt => MsgAction::Corrupt,
-            }
+            self.msg_fault[rank]
         } else {
-            MsgAction::Deliver
+            None
         }
     }
 }
@@ -277,14 +255,10 @@ mod tests {
         let inj = FaultInjector::new(&plan, 4);
         assert_eq!(inj.take_crash_point(2), Some(1));
         assert_eq!(inj.take_crash_point(2), None, "crash is one-shot");
-        assert_eq!(inj.take_msg_action(1), MsgAction::Drop);
-        assert_eq!(
-            inj.take_msg_action(1),
-            MsgAction::Deliver,
-            "msg fault is one-shot"
-        );
+        assert_eq!(inj.take_msg_fault(1), Some(MsgFault::Drop));
+        assert_eq!(inj.take_msg_fault(1), None, "msg fault is one-shot");
         assert_eq!(inj.take_crash_point(1), None);
-        assert_eq!(inj.take_msg_action(3), MsgAction::Deliver);
+        assert_eq!(inj.take_msg_fault(3), None);
     }
 
     #[test]

@@ -10,27 +10,30 @@
 //!
 //! * [`comm`] — typed point-to-point channels with an MPI-like API and a
 //!   latency/bandwidth network cost model;
-//! * [`node`] — the per-node worker: run the pipeline over the node's
-//!   partitions (for real, on the shared CPU pool) and report simulated
-//!   K20X seconds;
-//! * [`run`] — the scaling driver that regenerates Fig. 6 plus the §IV.C
-//!   single-node comparison;
+//! * [`node`] — runs one share of partitions through the pipeline (for
+//!   real, on the shared CPU pool) and reports simulated K20X seconds;
+//! * [`run`] — the one cluster runner: a master hands tasks to node
+//!   threads under an [`Assignment`] (the paper's static round-robin, a
+//!   balanced static split, or §IV.C self-scheduling, one partition per
+//!   request), gathers their histograms, and regenerates Fig. 6 plus the
+//!   §IV.C single-node comparison;
+//! * [`schedule`] — the scheduling simulator: each [`Assignment`], and
+//!   the LPT oracle, over measured per-partition costs;
 //! * [`imbalance`] — the load-balance metrics behind the paper's
 //!   "southern-Florida tiles" discussion;
 //! * [`error`] — typed failures ([`ClusterError`]) and the
-//!   [`RecoveryPolicy`] selecting how the runners react to them; and
+//!   [`RecoveryPolicy`] selecting how the runner reacts to them; and
 //! * [`fault`] — seeded deterministic fault injection (node crashes,
-//!   message loss/delay/corruption) for chaos-testing the runners.
+//!   message loss/delay/corruption) for chaos-testing the runner.
 //!
-//! Unlike the paper's MPI job, both runners tolerate worker failures:
+//! Unlike the paper's MPI job, the runner tolerates worker failures:
 //! the master detects silent deaths via receive timeouts plus a control
 //! channel probe, retransmits lost or corrupt result messages (checksum
-//! verified), and — under [`RecoveryPolicy::Reassign`] — redistributes a
-//! dead node's partitions so the combined histograms stay bit-identical
-//! to a fault-free run.
+//! verified), and — under [`RecoveryPolicy::Reassign`] — re-runs a dead
+//! node's partitions so the combined histograms stay bit-identical to a
+//! fault-free run.
 
 pub mod comm;
-pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod imbalance;
@@ -39,12 +42,9 @@ pub mod run;
 pub mod schedule;
 
 pub use comm::{Cluster, Comm, NetworkModel};
-pub use dynamic::run_dynamic;
 pub use error::{ClusterError, ClusterResult, RecoveryPolicy};
 pub use fault::{checksum_u64s, FaultInjector, FaultPlan, MsgFault};
 pub use imbalance::ImbalanceReport;
 pub use node::{NodeInput, NodeReport};
 pub use run::{run_cluster, run_scaling, Assignment, ClusterConfig, ClusterRun, ScalingPoint};
-pub use schedule::{
-    measure_partition_costs, reassignment_makespan, simulate, Policy, ScheduleOutcome,
-};
+pub use schedule::{lpt_makespan, measure_partition_costs, simulate, ScheduleOutcome};

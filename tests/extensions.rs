@@ -2,7 +2,7 @@
 //! motivates: temporal streams, histogram distances, zone clustering, and
 //! scheduling policies.
 
-use zonal_histo::cluster::{simulate, Policy};
+use zonal_histo::cluster::{lpt_makespan, simulate, Assignment};
 use zonal_histo::geo::CountyConfig;
 use zonal_histo::gpusim::DeviceSpec;
 use zonal_histo::raster::timeseries::{field, EpochSource};
@@ -147,10 +147,10 @@ fn scheduling_policies_ordered_as_expected() {
     let costs: Vec<f64> = (0..36).map(|i| 1.0 + ((i * 7) % 11) as f64).collect();
     let cells: Vec<u64> = (0..36).map(|i| 500 + (i % 7) as u64 * 100).collect();
     let lower = costs.iter().sum::<f64>() / 8.0;
-    let oracle = simulate(Policy::OracleLpt, &costs, &cells, 8, 0.0);
-    let dynamic = simulate(Policy::DynamicSelfScheduling, &costs, &cells, 8, 0.0);
-    let rr = simulate(Policy::StaticRoundRobin, &costs, &cells, 8, 0.0);
-    assert!(oracle.makespan >= lower - 1e-9);
-    assert!(oracle.makespan <= dynamic.makespan + 1e-9);
+    let oracle = lpt_makespan(&costs, 8);
+    let dynamic = simulate(Assignment::SelfScheduling, &costs, &cells, 8, 0.0);
+    let rr = simulate(Assignment::RoundRobin, &costs, &cells, 8, 0.0);
+    assert!(oracle >= lower - 1e-9);
+    assert!(oracle <= dynamic.makespan + 1e-9);
     assert!(dynamic.makespan <= rr.makespan + 1e-9);
 }
