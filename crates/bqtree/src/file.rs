@@ -118,25 +118,33 @@ pub fn read_bq<R: Read>(r: &mut R) -> Result<BqRaster, BqFileError> {
     if rows == 0 || cols == 0 || tile_cells == 0 || !(sx > 0.0 && sy > 0.0) {
         return Err(BqFileError::Corrupt("bad shape or geotransform".into()));
     }
-    let grid = TileGrid::new(rows, cols, tile_cells, GeoTransform::new(x0, y0, sx, sy));
+    // Checked: a hostile header can claim a tile count that overflows.
+    let n_tiles = cols
+        .div_ceil(tile_cells)
+        .checked_mul(rows.div_ceil(tile_cells))
+        .ok_or_else(|| BqFileError::Corrupt("tile count overflows".into()))?;
     let n = u64::from_le_bytes(read_arr::<8>(r)?) as usize;
-    if n != grid.n_tiles() {
+    if n != n_tiles {
         return Err(BqFileError::Corrupt(format!(
-            "tile count {n} does not match grid ({})",
-            grid.n_tiles()
+            "tile count {n} does not match grid ({n_tiles})"
         )));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
+    let grid = TileGrid::new(rows, cols, tile_cells, GeoTransform::new(x0, y0, sx, sy));
+    // No capacity is reserved from header fields: the table grows only as
+    // its bytes actually arrive, so a lying header fails at end of input.
+    let mut offsets = Vec::new();
     for _ in 0..=n {
         offsets.push(u64::from_le_bytes(read_arr::<8>(r)?));
     }
     if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
         return Err(BqFileError::Corrupt("offset table not monotone".into()));
     }
-    let total = offsets[n] as usize;
-    let mut blob = vec![0u8; total];
-    r.read_exact(&mut blob)
-        .map_err(|_| BqFileError::Corrupt("truncated blobs".into()))?;
+    let total = offsets[n];
+    let mut blob = Vec::new();
+    r.take(total).read_to_end(&mut blob)?;
+    if blob.len() as u64 != total {
+        return Err(BqFileError::Corrupt("truncated blobs".into()));
+    }
     let blob = Bytes::from(blob);
     let tiles = (0..n)
         .map(|i| blob.slice(offsets[i] as usize..offsets[i + 1] as usize))
@@ -215,6 +223,49 @@ mod tests {
         let mut buf = Vec::new();
         write_bq(&mut buf, &bq).expect("write");
         buf.truncate(buf.len() - 5);
+        assert!(matches!(
+            read_bq(&mut buf.as_slice()),
+            Err(BqFileError::Corrupt(_))
+        ));
+    }
+
+    /// A ZBQT header for a `rows × cols` raster of `tile_cells` tiles
+    /// claiming `n_tiles` tiles.
+    fn header(rows: u64, cols: u64, tile_cells: u64, n_tiles: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend(VERSION.to_le_bytes());
+        for v in [rows, cols, tile_cells] {
+            buf.extend(v.to_le_bytes());
+        }
+        for v in [0.0f64, 0.0, 1.0, 1.0] {
+            buf.extend(v.to_le_bytes());
+        }
+        buf.extend(n_tiles.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn huge_tile_count_header_rejected() {
+        // 2^20 × 2^20 one-cell tiles: the header alone must not make the
+        // reader reserve an offset table of 2^40 entries.
+        let buf = header(1 << 20, 1 << 20, 1, 1 << 40);
+        assert_eq!(buf.len(), 72);
+        assert!(read_bq(&mut buf.as_slice()).is_err());
+        // A shape whose tile count overflows is rejected as corrupt.
+        let buf = header(u64::MAX, u64::MAX, 1, 0);
+        assert!(matches!(
+            read_bq(&mut buf.as_slice()),
+            Err(BqFileError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn huge_blob_offset_rejected() {
+        // One 4×4 tile whose offset table claims 2^46 bytes of blobs.
+        let mut buf = header(4, 4, 4, 1);
+        buf.extend(0u64.to_le_bytes());
+        buf.extend((1u64 << 46).to_le_bytes());
+        buf.extend([0u8; 16]);
         assert!(matches!(
             read_bq(&mut buf.as_slice()),
             Err(BqFileError::Corrupt(_))

@@ -228,7 +228,7 @@ pub(crate) fn record_access(
 /// every still-running thread is parked at the barrier but at least one
 /// thread has already exited, no release is possible — a real GPU would
 /// hang (or worse) — so the barrier records a [`DivergenceReport`],
-/// aborts the parked threads quietly (a [`SanitizerAbort`] panic the
+/// aborts the parked threads quietly (a `SanitizerAbort` panic the
 /// harness swallows), and the harness reads the report back with
 /// [`DivergenceBarrier::divergence`].
 pub struct DivergenceBarrier {

@@ -502,36 +502,38 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
     let snap = shared.store.snapshot();
     let version = snap.version;
 
-    // Unique zones across the batch, insertion-ordered.
+    // Unique zones across the batch, insertion-ordered, and each zone's
+    // slot in that list (zone ids were validated against the layer).
+    let zones = shared.store.zones();
+    let mut slot = vec![u32::MAX; zones.len()];
     let mut unique: Vec<u32> = Vec::new();
     for r in &requests {
         for &z in &r.zone_ids {
-            if !unique.contains(&z) {
+            if slot[z as usize] == u32::MAX {
+                slot[z as usize] = unique.len() as u32;
                 unique.push(z);
             }
         }
     }
 
     // Fast path: every requested row already cached for this version.
-    let mut rows: Vec<(u32, Option<Arc<Vec<u64>>>)> = unique
+    let row_key = |zone| ZoneKey {
+        version,
+        plan,
+        zone,
+    };
+    let mut rows: Vec<Option<Arc<Vec<u64>>>> = unique
         .iter()
-        .map(|&z| {
-            let key = ZoneKey {
-                version,
-                plan,
-                zone: z,
-            };
-            (z, shared.cache.rows.get(&key))
-        })
+        .map(|&z| shared.cache.rows.get(&row_key(z)))
         .collect();
-    let all_cached = rows.iter().all(|(_, r)| r.is_some());
+    let all_cached = rows.iter().all(Option::is_some);
 
     if !all_cached {
-        // Slow path: one pipeline pass per partition (memoized), merged
-        // in partition-index order — exactly `run_partitions` semantics.
+        // Slow path: one pipeline pass per partition (memoized); each
+        // missing row is that zone's row summed over the partitions —
+        // exactly the counts `run_partitions` accumulates.
         let cfg = shared.cfg.pipeline.with_bins(plan.n_bins);
-        let zones = shared.store.zones();
-        let mut merged: Option<ZonalResult> = None;
+        let mut parts: Vec<Arc<ZonalResult>> = Vec::new();
         for (i, source) in snap.band(plan.band).iter().enumerate() {
             let key = PartitionKey {
                 version,
@@ -554,23 +556,18 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
                     r
                 }
             };
-            match &mut merged {
-                None => merged = Some((*part).clone()),
-                Some(m) => m.merge(&part),
-            }
+            parts.push(part);
         }
-        let merged = merged.expect("store bands are never empty");
-        for (z, row) in rows.iter_mut() {
+        for (&z, row) in unique.iter().zip(rows.iter_mut()) {
             if row.is_none() {
-                let fresh = Arc::new(merged.hists.zone(*z as usize).to_vec());
-                shared.cache.rows.insert(
-                    ZoneKey {
-                        version,
-                        plan,
-                        zone: *z,
-                    },
-                    Arc::clone(&fresh),
-                );
+                let mut sum = vec![0u64; plan.n_bins];
+                for part in &parts {
+                    for (a, b) in sum.iter_mut().zip(part.hists.zone(z as usize)) {
+                        *a += b;
+                    }
+                }
+                let fresh = Arc::new(sum);
+                shared.cache.rows.insert(row_key(z), Arc::clone(&fresh));
                 *row = Some(fresh);
             }
         }
@@ -587,10 +584,8 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
                 .zone_ids
                 .iter()
                 .map(|&z| {
-                    let row = rows
-                        .iter()
-                        .find(|(id, _)| *id == z)
-                        .and_then(|(_, r)| r.clone())
+                    let row = rows[slot[z as usize] as usize]
+                        .clone()
                         .expect("every requested zone was resolved");
                     (z, row)
                 })

@@ -112,12 +112,16 @@ fn same_plan_reuses_partition_intermediates() {
     service
         .query(ZonalQuery::zone_subset(64, vec![0]))
         .expect("first");
-    // Different zones, same plan: row cache misses, partition cache hits.
+    // Different zones, same plan: row cache misses, partition cache hits,
+    // so each row is assembled from the two memoized partitions. Zone 2
+    // straddles the partition boundary, so its row sums both.
     let resp = service
-        .query(ZonalQuery::zone_subset(64, vec![1, 2]))
+        .query(ZonalQuery::zone_subset(64, vec![2, 1]))
         .expect("second");
     assert!(!resp.from_cache);
-    let want = direct_rows(&store, 64, &[1, 2]);
+    let want = direct_rows(&store, 64, &[2, 1]);
+    assert_eq!(resp.rows[0].0, 2);
+    assert_eq!(resp.rows[1].0, 1);
     assert_eq!(resp.rows[0].1.as_slice(), want[0].as_slice());
     assert_eq!(resp.rows[1].1.as_slice(), want[1].as_slice());
     let stats = service.shutdown();

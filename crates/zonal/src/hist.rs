@@ -100,7 +100,12 @@ impl ZoneHistograms {
     /// the end-to-end time accounts for). The paper stores bins as 4-byte
     /// integers.
     pub fn output_bytes(&self) -> u64 {
-        (self.n_zones * self.n_bins * 4) as u64
+        Self::output_bytes_of(self.n_zones, self.n_bins)
+    }
+
+    /// [`ZoneHistograms::output_bytes`] for a result of this shape.
+    pub(crate) fn output_bytes_of(n_zones: usize, n_bins: usize) -> u64 {
+        (n_zones * n_bins * 4) as u64
     }
 }
 

@@ -18,6 +18,14 @@
 //! schedule regardless of interleaving; only wall-clock time changes.
 //! The bounded channel caps live strips at `inflight_strips`, preserving
 //! the memory high-water mark.
+//!
+//! Every partition of one answer adds into a single zone-histogram
+//! buffer — the paper's `his_d_polygon` array, which stays resident on
+//! the device while the partitions stream through. [`run_partitions`]
+//! allocates that buffer once and lets all its workers accumulate into
+//! it with atomics, so no per-partition n_zones × n_bins result is ever
+//! materialized or merged; only the small per-partition timing and count
+//! records are folded, in partition-index order.
 
 use crate::config::PipelineConfig;
 use crate::hist::ZoneHistograms;
@@ -29,7 +37,7 @@ use crate::timing::{PipelineCounts, PipelineTimings, StripWork};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use zonal_geo::{FlatPolygons, PolygonLayer};
-use zonal_gpusim::{exec, KernelWork, WorkCounter};
+use zonal_gpusim::{exec, KernelWork, TrackedBufU64, WorkCounter};
 use zonal_raster::TileSource;
 
 /// Estimated decode arithmetic per cell (bitplane scatter + tree walk
@@ -136,6 +144,25 @@ struct DecodedStrip {
 /// assert_eq!(result.hists.total(), 64);
 /// ```
 pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSource) -> ZonalResult {
+    let zone_buf = ZoneHistograms::device_buffer(zones.len(), cfg.n_bins);
+    let (timings, counts) = accumulate_partition(cfg, zones, source, &zone_buf);
+    ZonalResult {
+        hists: ZoneHistograms::from_flat(zones.len(), cfg.n_bins, zone_buf.into_vec()),
+        timings,
+        counts,
+    }
+}
+
+/// Run Steps 0–4 for one partition, adding its zone histograms into
+/// `zone_buf` (the `n_zones × n_bins` `his_d_polygon` array, shared by
+/// every partition of the answer). Returns the partition's own timing
+/// and count records.
+fn accumulate_partition(
+    cfg: &PipelineConfig,
+    zones: &Zones,
+    source: &impl TileSource,
+    zone_buf: &TrackedBufU64,
+) -> (PipelineTimings, PipelineCounts) {
     cfg.validate();
     let grid = source.grid();
     // The grid comes solely from the source; reject a config/grid
@@ -154,6 +181,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     );
     let n_zones = zones.len();
     let n_bins = cfg.n_bins;
+    assert_eq!(zone_buf.len(), n_zones * n_bins, "zone buffer shape");
 
     let mut timings = PipelineTimings::new(cfg.device);
     let mut counts = PipelineCounts {
@@ -182,8 +210,6 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     for (pid, tid) in pairs.intersect.iter_pairs() {
         intersect_by_strip[strip_of(tid)].push((pid, tid));
     }
-
-    let zone_buf = ZoneHistograms::device_buffer(n_zones, n_bins);
 
     // ----- Decode stage (Step 0): one strip, pure function of the source.
     let decode_strip = |strip: usize| -> DecodedStrip {
@@ -264,7 +290,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             .iter()
             .map(|&(pid, tid)| (pid, tile_hists[tid as usize - d.first_tid].bins.as_slice()))
             .collect();
-        aggregate_inside(&agg_pairs, &zone_buf, n_bins, &s3_fixed);
+        aggregate_inside(&agg_pairs, zone_buf, n_bins, &s3_fixed);
         timings.steps[3].wall_secs += t3.elapsed().as_secs_f64();
 
         // ----- Step 4: refine boundary tiles -------------------------------
@@ -277,7 +303,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             &ref_pairs,
             grid,
             &zones.flat,
-            &zone_buf,
+            zone_buf,
             n_bins,
             cfg.representative,
             &s4_cell,
@@ -351,79 +377,83 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     // once per intersecting polygon, exceeding the partition's cell count.
     pip_avoided.add(counts.n_cells.saturating_sub(counts.pip_cells_tested));
 
-    let hists = ZoneHistograms::from_flat(n_zones, n_bins, zone_buf.into_vec());
     timings.raster_input_bytes = counts.encoded_bytes;
     timings.fixed_input_bytes = zones.device_bytes();
-    timings.output_bytes = hists.output_bytes();
-
-    ZonalResult {
-        hists,
-        timings,
-        counts,
-    }
+    timings.output_bytes = ZoneHistograms::output_bytes_of(n_zones, n_bins);
+    (timings, counts)
 }
 
 /// Run the pipeline over several partitions (the single-node
-/// configuration of the paper's Table 2) and merge the results.
+/// configuration of the paper's Table 2) into one set of zone histograms.
 ///
 /// Partitions are independent, so they run on a pool of worker threads
-/// (up to the host's parallelism); results are merged in partition
-/// order, making the outcome identical to the sequential loop no matter
-/// how the workers interleave.
+/// (up to the host's parallelism), all adding into one shared
+/// `his_d_polygon` buffer; histogram updates commute, so the counts do
+/// not depend on how the workers interleave. Each partition's timings
+/// and counts are folded in partition-index order, so the counts, strip
+/// records and counted work — and every simulated second priced from
+/// them — equal the sequential `run_partition` + [`ZonalResult::merge`]
+/// loop bit for bit.
 pub fn run_partitions<S: TileSource>(
     cfg: &PipelineConfig,
     zones: &Zones,
     sources: &[S],
 ) -> ZonalResult {
     assert!(!sources.is_empty(), "need at least one partition");
+    let zone_buf = ZoneHistograms::device_buffer(zones.len(), cfg.n_bins);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(sources.len());
-    if workers <= 1 || sources.len() == 1 {
-        let mut iter = sources.iter();
-        let mut result = run_partition(cfg, zones, iter.next().expect("nonempty"));
-        for source in iter {
-            result.merge(&run_partition(cfg, zones, source));
-        }
-        return result;
-    }
+    let records: Vec<(PipelineTimings, PipelineCounts)> = if workers <= 1 {
+        sources
+            .iter()
+            .map(|source| accumulate_partition(cfg, zones, source, &zone_buf))
+            .collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let mut records: Vec<Option<_>> = (0..sources.len()).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (next, zone_buf) = (&next, &zone_buf);
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= sources.len() {
+                        break;
+                    }
+                    let mut span = zonal_obs::span("partition");
+                    span.arg("partition", i as u64);
+                    let r = accumulate_partition(cfg, zones, &sources[i], zone_buf);
+                    drop(span);
+                    if tx.send((i, r)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            while let Ok((i, r)) = rx.recv() {
+                records[i] = Some(r);
+            }
+        });
+        records
+            .into_iter()
+            .map(|r| r.expect("every partition produced a record"))
+            .collect()
+    };
 
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<ZonalResult>> = (0..sources.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= sources.len() {
-                    break;
-                }
-                let mut span = zonal_obs::span("partition");
-                span.arg("partition", i as u64);
-                let r = run_partition(cfg, zones, &sources[i]);
-                drop(span);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        while let Ok((i, r)) = rx.recv() {
-            results[i] = Some(r);
-        }
-    });
-
-    let mut iter = results
-        .into_iter()
-        .map(|r| r.expect("every partition produced a result"));
-    let mut result = iter.next().expect("nonempty");
-    for r in iter {
-        result.merge(&r);
+    let mut records = records.into_iter();
+    let (mut timings, mut counts) = records.next().expect("nonempty");
+    for (t, c) in records {
+        timings.accumulate(&t);
+        counts.accumulate(&c);
     }
-    result
+    ZonalResult {
+        hists: ZoneHistograms::from_flat(zones.len(), cfg.n_bins, zone_buf.into_vec()),
+        timings,
+        counts,
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use zonal_histo::geo::{Point, Polygon, PolygonLayer, Ring};
 use zonal_histo::gpusim::DeviceSpec;
 use zonal_histo::raster::{GeoTransform, Raster, TileGrid};
-use zonal_histo::zonal::pipeline::{run_partition, Zones};
+use zonal_histo::zonal::pipeline::{run_partition, run_partitions, Zones};
 use zonal_histo::zonal::stats::stats_of_histogram;
 use zonal_histo::zonal::{baseline, PipelineConfig};
 
@@ -115,6 +115,57 @@ proptest! {
             prop_assert_eq!(a.cell_work, b.cell_work);
             prop_assert_eq!(a.fixed_work, b.fixed_work);
         }
+    }
+
+    #[test]
+    fn shared_buffer_equals_serial_merge(
+        layer in layer_strategy(),
+        raster in raster_strategy(),
+        tile_cells in 3usize..12,
+        n_parts in 1usize..7,
+    ) {
+        // Split the raster into `n_parts` row bands. With more partitions
+        // than workers, workers interleave their adds into the one shared
+        // zone buffer of `run_partitions`.
+        let zones = Zones::new(layer);
+        let gt = *raster.transform();
+        let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan()).with_bins(256);
+        cfg.tile_deg = tile_cells as f64 * gt.sx; // match grid
+        let bands: Vec<(Raster, TileGrid)> = (0..n_parts)
+            .map(|i| {
+                let (r0, r1) = (i * raster.rows() / n_parts, (i + 1) * raster.rows() / n_parts);
+                let band_gt = gt.shifted(r0, 0);
+                let band = Raster::from_fn(r1 - r0, raster.cols(), band_gt, |r, c| {
+                    raster.get(r0 + r, c)
+                });
+                let grid = TileGrid::new(r1 - r0, raster.cols(), tile_cells, band_gt);
+                (band, grid)
+            })
+            .collect();
+        let sources: Vec<_> = bands.iter().map(|(b, g)| b.tile_source(g)).collect();
+
+        let pooled = run_partitions(&cfg, &zones, &sources);
+        let mut serial = run_partition(&cfg, &zones, &sources[0]);
+        for source in &sources[1..] {
+            serial.merge(&run_partition(&cfg, &zones, source));
+        }
+        prop_assert_eq!(&pooled.hists, &serial.hists);
+        prop_assert_eq!(&pooled.counts, &serial.counts);
+        for (a, b) in pooled.timings.steps.iter().zip(&serial.timings.steps) {
+            prop_assert_eq!(a.cell_work, b.cell_work);
+            prop_assert_eq!(a.fixed_work, b.fixed_work);
+        }
+        prop_assert_eq!(&pooled.timings.strips, &serial.timings.strips);
+        prop_assert_eq!(pooled.timings.output_bytes, serial.timings.output_bytes);
+        // Step 2 runs on the host and is priced at its measured wall time,
+        // the one term of the figure that is not derived from counted
+        // work; with it held equal the figure must match bit for bit.
+        let mut pooled_t = pooled.timings.clone();
+        pooled_t.steps[2].wall_secs = serial.timings.steps[2].wall_secs;
+        prop_assert_eq!(
+            pooled_t.end_to_end_overlapped_sim_secs(),
+            serial.timings.end_to_end_overlapped_sim_secs()
+        );
     }
 
     #[test]
