@@ -77,22 +77,31 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Read `n` bits (n ≤ 32), LSB-first. Panics past the end.
-    pub fn get(&mut self, n: u32) -> u32 {
-        assert!(self.remaining() >= n as usize, "bitstream underrun");
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < n {
-            let byte = self.data[self.pos / 8] as u64;
-            let bit_off = (self.pos % 8) as u32;
-            let avail = 8 - bit_off;
-            let take = avail.min(n - got);
-            let bits = (byte >> bit_off) & ((1 << take) - 1);
-            out |= bits << got;
-            got += take;
-            self.pos += take as usize;
-        }
-        out as u32
+    /// Read `n` bits (n ≤ 32), LSB-first, or `None` past the end.
+    ///
+    /// One little-endian word load covers any 32-bit field: it starts at
+    /// the cursor's byte, and at most 7 + 32 bits of it are used.
+    #[inline]
+    pub fn get(&mut self, n: u32) -> Option<u32> {
+        debug_assert!(n <= 32);
+        let byte = self.pos / 8;
+        let word = match self.data.get(byte..byte + 8) {
+            // 8 whole bytes hold the field, so it cannot run past the end.
+            Some(w) => u64::from_le_bytes(w.try_into().expect("slice of 8 bytes")),
+            None => {
+                if self.remaining() < n as usize {
+                    return None;
+                }
+                // Within 8 bytes of the end: zero-pad a copy of the tail.
+                let mut w = [0u8; 8];
+                let tail = &self.data[byte..];
+                w[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(w)
+            }
+        };
+        let bits = (word >> (self.pos % 8)) & ((1u64 << n) - 1);
+        self.pos += n as usize;
+        Some(bits as u32)
     }
 }
 
@@ -110,11 +119,11 @@ mod tests {
         w.put(0xFFFF_FFFF, 32);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.get(2), 0b10);
-        assert_eq!(r.get(1), 0b1);
-        assert_eq!(r.get(16), 0xBEEF);
-        assert_eq!(r.get(3), 0b101);
-        assert_eq!(r.get(32), 0xFFFF_FFFF);
+        assert_eq!(r.get(2), Some(0b10));
+        assert_eq!(r.get(1), Some(0b1));
+        assert_eq!(r.get(16), Some(0xBEEF));
+        assert_eq!(r.get(3), Some(0b101));
+        assert_eq!(r.get(32), Some(0xFFFF_FFFF));
     }
 
     #[test]
@@ -140,7 +149,7 @@ mod tests {
         assert_eq!(bytes.len(), 250);
         let mut r = BitReader::new(&bytes);
         for &c in &codes {
-            assert_eq!(r.get(2), c);
+            assert_eq!(r.get(2), Some(c));
         }
     }
 
@@ -153,12 +162,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "underrun")]
-    fn underrun_panics() {
-        let bytes = [0u8; 1];
+    fn underrun_is_none() {
+        let bytes = [0xA5u8; 1];
         let mut r = BitReader::new(&bytes);
-        r.get(8);
-        r.get(1);
+        assert_eq!(r.get(3), Some(0b101));
+        assert_eq!(r.get(6), None, "a failed read must not move the cursor");
+        assert_eq!(r.get(5), Some(0b10100));
+        assert_eq!(r.get(1), None);
+    }
+
+    #[test]
+    fn word_loads_near_the_end() {
+        // A 32-bit field at every bit offset, read both through the padded
+        // tail load (fewer than 8 bytes from the end) and the plain one.
+        for skip in 0..8u32 {
+            for tail in 0..6usize {
+                let mut w = BitWriter::new();
+                w.put(0, skip);
+                w.put(0xDEAD_BEEF, 32);
+                let mut bytes = w.finish().to_vec();
+                bytes.extend(std::iter::repeat_n(0xFF, tail));
+                let mut r = BitReader::new(&bytes);
+                assert_eq!(r.get(skip), Some(0));
+                assert_eq!(r.get(32), Some(0xDEAD_BEEF), "skip {skip} tail {tail}");
+            }
+        }
     }
 
     #[test]
@@ -166,7 +194,7 @@ mod tests {
         let bytes = [0u8; 4];
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.remaining(), 32);
-        r.get(5);
+        r.get(5).expect("in range");
         assert_eq!(r.remaining(), 27);
         assert_eq!(r.position(), 5);
     }

@@ -272,6 +272,45 @@ mod tests {
         ));
     }
 
+    /// A ZBQT file holding one 4×4 tile whose bitstream is `blob`.
+    fn one_tile_file(blob: &[u8]) -> Vec<u8> {
+        let mut buf = header(4, 4, 4, 1);
+        buf.extend(0u64.to_le_bytes());
+        buf.extend((blob.len() as u64).to_le_bytes());
+        buf.extend(blob);
+        buf
+    }
+
+    /// The bitstream of a 4×4 tile, which loads as is.
+    fn tile_blob() -> Vec<u8> {
+        let tile = zonal_raster::TileData::new((0..16u16).map(|v| v * 4099).collect(), 4, 4);
+        let blob = crate::encode_tile(&tile).to_vec();
+        assert!(read_bq(&mut one_tile_file(&blob).as_slice()).is_ok());
+        blob
+    }
+
+    #[test]
+    fn truncated_tile_body_rejected() {
+        let blob = tile_blob();
+        let buf = one_tile_file(&blob[..blob.len() - 1]);
+        match read_bq(&mut buf.as_slice()) {
+            Err(BqFileError::Corrupt(m)) => assert!(m.contains("underrun"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn bad_node_code_rejected() {
+        let mut blob = tile_blob();
+        // Plane 0's root code is the low 2 bits of the first body byte.
+        blob[4] |= 0b11;
+        let buf = one_tile_file(&blob);
+        match read_bq(&mut buf.as_slice()) {
+            Err(BqFileError::Corrupt(m)) => assert!(m.contains("node code 3"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn file_smaller_than_raw_for_dem() {
         let bq = sample();

@@ -21,6 +21,15 @@
 //!
 //! Tiles are padded to a power-of-two square internally (pad bits are 0)
 //! and cropped on decode, so any tile shape round-trips exactly.
+//!
+//! The encoder slices each plane into a word-packed [`plane::Bitmap`] and
+//! classifies quadtree regions a word at a time. The decoder needs no
+//! bitmap: it walks each plane's quadtree straight into the tile's `u16`
+//! values, ORing the plane bit into the cells of all-one nodes and literal
+//! leaves. That walk is fallible ([`DecodeError`]) and is the same one
+//! [`validate_tile`] runs, so [`BqRaster::from_parts`] (and through it
+//! [`load_bq`]) rejects truncated or corrupt tile streams up front, and
+//! every tile of a loaded raster decodes.
 
 pub mod bits;
 pub mod codec;
@@ -28,6 +37,6 @@ pub mod file;
 pub mod plane;
 pub mod store;
 
-pub use codec::{decode_tile, encode_tile};
+pub use codec::{decode_tile, encode_tile, validate_tile, DecodeError};
 pub use file::{load_bq, save_bq};
 pub use store::{compress_source, BqRaster, CompressionStats};

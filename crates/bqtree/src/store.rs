@@ -1,6 +1,6 @@
 //! Compressed raster storage: a [`TileSource`] that decodes on demand.
 
-use crate::codec::{decode_tile, encode_tile};
+use crate::codec::{decode_tile, encode_tile, validate_tile};
 use bytes::Bytes;
 use rayon::prelude::*;
 use zonal_raster::{TileData, TileGrid, TileSource};
@@ -44,8 +44,9 @@ impl BqRaster {
     }
 
     /// Reassemble from a grid and per-tile bitstreams (the file reader's
-    /// entry point). Validates that each blob's header matches the grid's
-    /// tile shape, without decoding payloads.
+    /// entry point). Walks every tile's bitstream once, so that each
+    /// header matches the grid's tile shape and every tile decodes:
+    /// [`TileSource::tile`] cannot fail on the result.
     pub fn from_parts(grid: TileGrid, tiles: Vec<Bytes>) -> Result<BqRaster, String> {
         if tiles.len() != grid.n_tiles() {
             return Err(format!(
@@ -55,11 +56,7 @@ impl BqRaster {
             ));
         }
         for (id, blob) in tiles.iter().enumerate() {
-            if blob.len() < 4 {
-                return Err(format!("tile {id}: blob shorter than its header"));
-            }
-            let rows = u16::from_be_bytes([blob[0], blob[1]]) as usize;
-            let cols = u16::from_be_bytes([blob[2], blob[3]]) as usize;
+            let (rows, cols) = validate_tile(blob).map_err(|e| format!("tile {id}: {e}"))?;
             let (tx, ty) = grid.tile_pos(id);
             if (rows, cols) != grid.tile_shape(tx, ty) {
                 return Err(format!(
@@ -95,6 +92,7 @@ impl TileSource for BqRaster {
 
     fn tile(&self, tx: usize, ty: usize) -> TileData {
         decode_tile(self.encoded_tile(tx, ty))
+            .expect("tile bitstreams are encoder output or validated by from_parts")
     }
 
     fn tile_encoded_bytes(&self, tx: usize, ty: usize) -> usize {

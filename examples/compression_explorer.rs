@@ -34,7 +34,7 @@ fn main() {
     for side in [16usize, 64, 128, 256, 360, 512] {
         let tile = dem_tile(side, -106.0, 39.0, 3600.0, seed);
         let enc = encode_tile(&tile);
-        assert_eq!(decode_tile(&enc), tile, "lossless round-trip");
+        assert_eq!(decode_tile(&enc), Ok(tile), "lossless round-trip");
         let raw = side * side * 2;
         println!(
             "{:>8} {:>12} {:>12} {:>7.1}%",
