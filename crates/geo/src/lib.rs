@@ -22,7 +22,6 @@
 //! geographic (lon/lat) setting; nothing here assumes a projection.
 
 pub mod classify;
-pub mod clip;
 pub mod counties;
 pub mod dataset;
 pub mod flat;

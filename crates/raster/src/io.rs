@@ -93,22 +93,31 @@ pub fn read_raster<R: Read>(r: &mut R) -> Result<Raster, RasterIoError> {
     if version != VERSION {
         return Err(RasterIoError::BadVersion(version));
     }
-    let rows = u64::from_le_bytes(read_exact::<8>(r)?) as usize;
-    let cols = u64::from_le_bytes(read_exact::<8>(r)?) as usize;
+    let rows = u64::from_le_bytes(read_exact::<8>(r)?);
+    let cols = u64::from_le_bytes(read_exact::<8>(r)?);
     let x0 = f64::from_le_bytes(read_exact::<8>(r)?);
     let y0 = f64::from_le_bytes(read_exact::<8>(r)?);
     let sx = f64::from_le_bytes(read_exact::<8>(r)?);
     let sy = f64::from_le_bytes(read_exact::<8>(r)?);
-    if sx <= 0.0 || sy <= 0.0 || !x0.is_finite() || !y0.is_finite() {
+    let finite = [x0, y0, sx, sy].iter().all(|v| v.is_finite());
+    if !finite || sx <= 0.0 || sy <= 0.0 {
         return Err(RasterIoError::Corrupt("bad geotransform".into()));
     }
     let nodata_raw = u32::from_le_bytes(read_exact::<4>(r)?);
-    let n_cells = rows
+    let overflow = || RasterIoError::Corrupt("dimension overflow".into());
+    let rows = usize::try_from(rows).map_err(|_| overflow())?;
+    let cols = usize::try_from(cols).map_err(|_| overflow())?;
+    let n_bytes = rows
         .checked_mul(cols)
-        .ok_or_else(|| RasterIoError::Corrupt("dimension overflow".into()))?;
-    let mut payload = vec![0u8; n_cells * 2];
-    r.read_exact(&mut payload)
-        .map_err(|_| RasterIoError::Corrupt("truncated payload".into()))?;
+        .and_then(|n| n.checked_mul(2))
+        .ok_or_else(overflow)?;
+    // Grow the payload only as bytes arrive: the header alone never
+    // decides how much is allocated.
+    let mut payload = Vec::new();
+    r.take(n_bytes as u64).read_to_end(&mut payload)?;
+    if payload.len() != n_bytes {
+        return Err(RasterIoError::Corrupt("truncated payload".into()));
+    }
     let data: Vec<u16> = payload
         .chunks_exact(2)
         .map(|c| u16::from_le_bytes([c[0], c[1]]))
@@ -215,6 +224,53 @@ mod tests {
         for b in &mut buf[40..48] {
             *b = 0;
         }
+        assert!(matches!(
+            read_raster(&mut buf.as_slice()),
+            Err(RasterIoError::Corrupt(_))
+        ));
+    }
+
+    /// `sample()` serialized, with the header's rows and cols replaced.
+    fn with_shape(rows: u64, cols: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_raster(&mut buf, &sample()).expect("write");
+        buf[8..16].copy_from_slice(&rows.to_le_bytes());
+        buf[16..24].copy_from_slice(&cols.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn non_finite_geotransform_rejected() {
+        // Offsets: x0 at 24, y0 at 32, sx at 40, sy at 48.
+        for (at, v) in [(40, f64::NAN), (48, f64::INFINITY), (24, f64::NAN)] {
+            let mut buf = Vec::new();
+            write_raster(&mut buf, &sample()).expect("write");
+            buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            assert!(
+                matches!(
+                    read_raster(&mut buf.as_slice()),
+                    Err(RasterIoError::Corrupt(_))
+                ),
+                "{v} at byte {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_dimensions_rejected() {
+        // 2^62 × 2 cells fits in u64, but not its 2-byte payload size.
+        let buf = with_shape(1 << 62, 2);
+        assert!(matches!(
+            read_raster(&mut buf.as_slice()),
+            Err(RasterIoError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn huge_header_without_payload_rejected() {
+        // 2 TiB stated, a few hundred bytes present: rejected without
+        // allocating what the header states.
+        let buf = with_shape(1 << 20, 1 << 20);
         assert!(matches!(
             read_raster(&mut buf.as_slice()),
             Err(RasterIoError::Corrupt(_))

@@ -1,178 +1,113 @@
-//! Result caching: a sharded LRU of per-zone histogram rows plus
-//! memoized per-partition pipeline intermediates.
+//! Result caching: one LRU of whole answers, one entry per plan, for the
+//! current store version.
 //!
-//! Both caches key on the store **version**, so a raster update
-//! invalidates every prior entry by construction — stale entries are
-//! unreachable and simply age out of the LRU. Cached rows are `Arc`s of
-//! the exact vectors the pipeline produced, so a cached answer is
-//! bit-identical to the uncached one (asserted by the equivalence
-//! tests; the cache never recomputes, rounds, or re-encodes).
+//! An entry is exactly what one `run_partitions` call produced for a
+//! plan: every zone's histogram row, indexed by zone id. Rows are `Arc`s
+//! of those vectors, so a cached answer is bit-identical to the uncached
+//! one (asserted by the equivalence tests; the cache never recomputes,
+//! rounds, or re-encodes).
+//!
+//! The cache holds answers of one store version only. Inserting (or
+//! asking for) a newer version drops every older answer, so a raster
+//! update frees the superseded answers as soon as the new version is
+//! used; an insert for an older version, from a batch that started
+//! before the update, is ignored.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use zonal_core::ZonalResult;
 
 use crate::query::PlanKey;
 
-/// Key of one zone's cached histogram row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ZoneKey {
-    pub version: u64,
-    pub plan: PlanKey,
-    pub zone: u32,
+/// One plan's whole answer: every zone's histogram row, indexed by zone
+/// id.
+pub type Answer = Arc<[Arc<Vec<u64>>]>;
+
+/// A least-recently-used map from [`PlanKey`] to that plan's
+/// [`Answer`], for one store version. One lock, one lookup per batch.
+pub struct AnswerCache {
+    capacity: usize,
+    inner: Mutex<Entries>,
 }
 
-/// Key of one partition's memoized pipeline result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PartitionKey {
-    pub version: u64,
-    pub plan: PlanKey,
-    pub partition: usize,
+struct Entries {
+    /// The store version every entry was computed against.
+    version: u64,
+    /// Least recently used first.
+    lru: Vec<(PlanKey, Answer)>,
 }
 
-/// A sharded LRU map. Shards bound lock contention (requests hash to
-/// different shards); each shard evicts its least-recently-used entry
-/// by stamp scan — capacities are small (hundreds), so the O(shard)
-/// eviction scan is cheaper than maintaining an intrusive list.
-pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+impl Entries {
+    /// Move to `version` if it is newer, dropping every older answer.
+    /// False when `version` is older than the entries held.
+    fn advance(&mut self, version: u64) -> bool {
+        if version > self.version {
+            self.version = version;
+            self.lru.clear();
+        }
+        version == self.version
+    }
+
+    fn position(&self, plan: PlanKey) -> Option<usize> {
+        self.lru.iter().position(|(p, _)| *p == plan)
+    }
 }
 
-struct Shard<K, V> {
-    map: HashMap<K, (u64, V)>,
-    clock: u64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
-    /// A cache holding at most `capacity` entries across `n_shards`
-    /// shards. `capacity = 0` disables the cache (every get misses,
-    /// every insert is dropped) — the cache-off configuration of the
-    /// equivalence tests.
-    pub fn new(capacity: usize, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
-        ShardedLru {
-            shards: (0..n_shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        clock: 0,
-                    })
-                })
-                .collect(),
-            per_shard: capacity.div_ceil(n_shards),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+impl AnswerCache {
+    /// A cache holding at most `capacity` plans' answers. `capacity = 0`
+    /// disables the cache (every get misses, every insert is dropped) —
+    /// the cache-off configuration of the equivalence tests.
+    pub fn new(capacity: usize) -> Self {
+        AnswerCache {
+            capacity,
+            inner: Mutex::new(Entries {
+                version: 0,
+                lru: Vec::new(),
+            }),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn entries(&self) -> std::sync::MutexGuard<'_, Entries> {
+        // Every update below leaves `Entries` valid, so a guard
+        // poisoned by a panicking holder is still consistent.
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Look up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &K) -> Option<V> {
-        if self.per_shard == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+    /// The answer for `plan` at `version`, refreshing its recency.
+    pub fn get(&self, version: u64, plan: PlanKey) -> Option<Answer> {
+        let mut e = self.entries();
+        if !e.advance(version) {
             return None;
         }
-        let mut shard = self.shard(key).lock().unwrap_or_else(|p| p.into_inner());
-        shard.clock += 1;
-        let stamp = shard.clock;
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.0 = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.1.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let i = e.position(plan)?;
+        let entry = e.lru.remove(i);
+        let answer = Arc::clone(&entry.1);
+        e.lru.push(entry);
+        Some(answer)
     }
 
-    /// Insert (or refresh) `key`, evicting the shard's least-recently
-    /// used entry when at capacity.
-    pub fn insert(&self, key: K, value: V) {
-        if self.per_shard == 0 {
+    /// Whether `plan`'s answer at `version` is resident, without
+    /// touching recency (used by admission estimates).
+    pub fn contains(&self, version: u64, plan: PlanKey) -> bool {
+        let e = self.entries();
+        e.version == version && e.position(plan).is_some()
+    }
+
+    /// Insert `plan`'s answer computed at `version`, evicting the least
+    /// recently used plan when full. Ignored for a version older than
+    /// the entries held.
+    pub fn insert(&self, version: u64, plan: PlanKey, answer: Answer) {
+        if self.capacity == 0 {
             return;
         }
-        let mut shard = self.shard(&key).lock().unwrap_or_else(|p| p.into_inner());
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, (s, _))| *s)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
-            }
+        let mut e = self.entries();
+        if !e.advance(version) {
+            return;
         }
-        shard.map.insert(key, (stamp, value));
-    }
-
-    /// Whether `key` is resident, without touching recency or the
-    /// hit/miss counters (used by admission estimates, which must not
-    /// skew the reported cache hit rate).
-    pub fn contains(&self, key: &K) -> bool {
-        if self.per_shard == 0 {
-            return false;
+        if let Some(i) = e.position(plan) {
+            e.lru.remove(i);
+        } else if e.lru.len() >= self.capacity {
+            e.lru.remove(0);
         }
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .map
-            .contains_key(key)
-    }
-
-    /// Entries currently resident (sums shard sizes; advisory only).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).map.len())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit/miss counts (monotonic, across all shards).
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// The serving caches: zone rows for request fan-out, partition results
-/// for shared pipeline work.
-pub struct ServeCache {
-    /// (version, plan, zone) → that zone's merged histogram row.
-    pub rows: ShardedLru<ZoneKey, Arc<Vec<u64>>>,
-    /// (version, plan, partition) → the partition's full pipeline
-    /// result, so later batches (and colder zones) skip the decode and
-    /// compute pass entirely.
-    pub partitions: ShardedLru<PartitionKey, Arc<ZonalResult>>,
-}
-
-impl ServeCache {
-    pub fn new(row_capacity: usize, partition_capacity: usize) -> Self {
-        ServeCache {
-            rows: ShardedLru::new(row_capacity, 8),
-            partitions: ShardedLru::new(partition_capacity, 4),
-        }
+        e.lru.push((plan, answer));
     }
 }
 
@@ -180,73 +115,89 @@ impl ServeCache {
 mod tests {
     use super::*;
 
-    fn key(zone: u32) -> ZoneKey {
-        ZoneKey {
-            version: 1,
-            plan: PlanKey {
-                band: 0,
-                n_bins: 64,
-            },
-            zone,
-        }
+    fn plan(n_bins: usize) -> PlanKey {
+        PlanKey { band: 0, n_bins }
+    }
+
+    fn len(cache: &AnswerCache) -> usize {
+        cache.entries().lru.len()
+    }
+
+    fn answer(fill: u64) -> Answer {
+        vec![Arc::new(vec![fill; 4]), Arc::new(vec![fill + 1; 4])].into()
     }
 
     #[test]
-    fn get_after_insert_roundtrips() {
-        let lru: ShardedLru<ZoneKey, Arc<Vec<u64>>> = ShardedLru::new(16, 4);
-        assert!(lru.get(&key(1)).is_none());
-        let row = Arc::new(vec![1, 2, 3]);
-        lru.insert(key(1), row.clone());
-        let got = lru.get(&key(1)).expect("hit");
-        assert!(Arc::ptr_eq(&got, &row), "cache returns the same allocation");
-        assert_eq!(lru.hit_miss(), (1, 1));
+    fn get_after_insert_returns_the_same_rows() {
+        let cache = AnswerCache::new(4);
+        assert!(cache.get(1, plan(64)).is_none());
+        let a = answer(7);
+        cache.insert(1, plan(64), Arc::clone(&a));
+        let got = cache.get(1, plan(64)).expect("hit");
+        assert!(Arc::ptr_eq(&got, &a), "cache returns the same allocation");
+        assert!(cache.get(1, plan(32)).is_none(), "other plan misses");
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let lru: ShardedLru<ZoneKey, u64> = ShardedLru::new(0, 4);
-        lru.insert(key(1), 7);
-        assert!(lru.get(&key(1)).is_none());
-        assert!(lru.is_empty());
+        let cache = AnswerCache::new(0);
+        cache.insert(1, plan(64), answer(7));
+        assert!(cache.get(1, plan(64)).is_none());
+        assert!(!cache.contains(1, plan(64)));
+        assert_eq!(len(&cache), 0);
     }
 
     #[test]
-    fn lru_evicts_oldest_within_shard() {
-        // Single shard so recency order is total.
-        let lru: ShardedLru<u32, u32> = ShardedLru::new(2, 1);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        assert_eq!(lru.get(&1), Some(10)); // refresh 1; 2 is now oldest
-        lru.insert(3, 30); // evicts 2
-        assert_eq!(lru.get(&2), None);
-        assert_eq!(lru.get(&1), Some(10));
-        assert_eq!(lru.get(&3), Some(30));
-        assert_eq!(lru.len(), 2);
+    fn lru_evicts_least_recent_plan() {
+        let cache = AnswerCache::new(2);
+        cache.insert(1, plan(1), answer(1));
+        cache.insert(1, plan(2), answer(2));
+        assert!(cache.get(1, plan(1)).is_some()); // refresh 1; 2 is now oldest
+        cache.insert(1, plan(3), answer(3)); // evicts 2
+        assert!(cache.get(1, plan(2)).is_none());
+        assert!(cache.get(1, plan(1)).is_some());
+        assert!(cache.get(1, plan(3)).is_some());
+        assert_eq!(len(&cache), 2);
     }
 
     #[test]
-    fn version_partitions_key_space() {
-        let lru: ShardedLru<ZoneKey, u32> = ShardedLru::new(16, 2);
-        lru.insert(key(1), 7);
-        let mut stale = key(1);
-        stale.version = 2;
-        assert_eq!(lru.get(&stale), None, "new version never sees old entries");
+    fn newer_version_clears_older_entries() {
+        let cache = AnswerCache::new(4);
+        cache.insert(1, plan(1), answer(1));
+        cache.insert(1, plan(2), answer(2));
+        cache.insert(2, plan(1), answer(10));
+        assert_eq!(len(&cache), 1, "version 1's answers are dropped");
+        assert!(!cache.contains(1, plan(2)));
+        assert_eq!(cache.get(2, plan(1)).expect("hit")[0][0], 10);
+        // Asking for a newer version drops the held answers too.
+        assert!(cache.get(3, plan(1)).is_none());
+        assert_eq!(len(&cache), 0);
     }
 
     #[test]
-    fn concurrent_access_is_safe() {
-        let lru: Arc<ShardedLru<u32, u32>> = Arc::new(ShardedLru::new(64, 8));
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let lru = Arc::clone(&lru);
-                s.spawn(move || {
-                    for i in 0..200u32 {
-                        lru.insert(t * 1000 + i, i);
-                        let _ = lru.get(&(t * 1000 + i % 50));
-                    }
-                });
-            }
-        });
-        assert!(lru.len() <= 64);
+    fn older_version_insert_is_ignored() {
+        let cache = AnswerCache::new(4);
+        cache.insert(2, plan(1), answer(2));
+        cache.insert(1, plan(1), answer(1));
+        cache.insert(1, plan(2), answer(1));
+        assert_eq!(len(&cache), 1);
+        assert_eq!(cache.get(2, plan(1)).expect("hit")[0][0], 2);
+        assert!(cache.get(1, plan(1)).is_none(), "old version never served");
+        assert!(
+            cache.contains(2, plan(1)),
+            "lookups of old versions keep the new"
+        );
+    }
+
+    #[test]
+    fn contains_does_not_refresh_recency() {
+        let cache = AnswerCache::new(2);
+        cache.insert(1, plan(1), answer(1));
+        cache.insert(1, plan(2), answer(2));
+        assert!(cache.contains(1, plan(1)));
+        cache.insert(1, plan(3), answer(3)); // 1 is still the oldest
+        assert!(!cache.contains(1, plan(1)));
+        assert!(cache.contains(1, plan(2)));
+        assert!(cache.contains(1, plan(3)));
     }
 }

@@ -33,6 +33,11 @@ pub enum ServeError {
     /// The service is shutting down (or shut down while the request was
     /// queued); no answer will come.
     ShuttingDown,
+    /// The pipeline pass for the request's batch failed (for example, a
+    /// raster whose tile grid does not match the service's pipeline
+    /// configuration). Every request in that batch gets this error; the
+    /// service keeps running.
+    Failed(String),
 }
 
 impl ServeError {
@@ -63,6 +68,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::InvalidQuery(why) => write!(f, "invalid query: {why}"),
             ServeError::ShuttingDown => write!(f, "service shutting down"),
+            ServeError::Failed(why) => write!(f, "query failed: {why}"),
         }
     }
 }
@@ -88,6 +94,7 @@ mod tests {
         .is_shed());
         assert!(!ServeError::InvalidQuery("x".into()).is_shed());
         assert!(!ServeError::ShuttingDown.is_shed());
+        assert!(!ServeError::Failed("pass panicked".into()).is_shed());
     }
 
     #[test]

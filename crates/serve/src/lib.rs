@@ -16,9 +16,13 @@
 //! * **Batching** ([`service`]) — queries that arrive within a short
 //!   window and share a plan (band, bin spec) coalesce into one Step 0
 //!   decode and one Step 1–4 pass, fanned back out per request.
-//! * **Caching** ([`cache`]) — a sharded LRU over per-zone result rows
-//!   plus memoized per-partition intermediates, keyed by store version
-//!   so raster updates invalidate by construction.
+//! * **Caching** ([`cache`]) — a small LRU that maps each plan to its
+//!   whole answer (every zone's row) at the current store version. A
+//!   miss runs one `run_partitions` call; a raster update drops the old
+//!   version's answers.
+//!
+//! A batch whose pipeline pass fails answers its requests with
+//! [`ServeError::Failed`] and the service keeps serving.
 //!
 //! The invariant the whole crate is built around: **a served answer is
 //! bit-identical to the direct `run_partitions` computation** for the
@@ -48,7 +52,7 @@ pub mod service;
 pub mod store;
 
 pub use admission::{estimate_partition_sim_secs, Admission, AdmissionController};
-pub use cache::{PartitionKey, ServeCache, ShardedLru, ZoneKey};
+pub use cache::{Answer, AnswerCache};
 pub use error::ServeError;
 pub use loadgen::{closed_loop, open_loop, LatencyStats, LoadReport, QueryMix};
 pub use query::{PlanKey, QueryResponse, ZonalQuery, ZoneRow, ZoneSelection};

@@ -2,39 +2,42 @@
 //!
 //! ```text
 //!  submit()───try_admit──▶ [bounded queue] ──▶ dispatcher ──▶ workers
-//!     │            │                             (coalesce      (one
-//!     │            └─shed: QueueFull/Saturated    by PlanKey)    pipeline
-//!     ▼                                                          pass per
-//!  Ticket ◀──────────────── reply channel ◀──────────────────── partition)
+//!     │            │                             (coalesce      (cached answer,
+//!     │            └─shed: QueueFull/Saturated    by PlanKey)    or one
+//!     ▼                                                          run_partitions
+//!  Ticket ◀──────────────── reply channel ◀──────────────────── call per batch)
 //! ```
 //!
 //! Invariants (asserted by the equivalence tests):
 //!
-//! * **Bit-identity.** Every answer equals the direct
-//!   `run_partitions` computation at the query's bin spec, restricted
-//!   to the requested zones — whether it was served cold, from a
-//!   coalesced batch, from memoized partition intermediates, or from
-//!   the row cache, and regardless of concurrent shedding or raster
+//! * **Bit-identity.** Every answer is the direct `run_partitions`
+//!   computation at the query's bin spec, restricted to the requested
+//!   zones — whether it was served cold, from a coalesced batch, or from
+//!   the answer cache, and regardless of concurrent shedding or raster
 //!   updates (each answer is consistent with exactly one store
 //!   version, which it reports).
 //! * **Bounded queueing.** At most `queue_capacity` requests are
 //!   admitted-but-unfinished; excess is shed with a typed error, never
 //!   queued unboundedly.
+//! * **Failure isolation.** A batch whose pass panics answers each of
+//!   its requests with [`ServeError::Failed`]; their admissions are
+//!   released and the worker goes on to the next batch.
 //! * **Graceful drain.** Shutdown stops admitting, then finishes every
 //!   admitted request before joining the pool.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use serde::Serialize;
-use zonal_core::pipeline::run_partition;
-use zonal_core::{PipelineConfig, ZonalResult};
+use zonal_core::pipeline::run_partitions;
+use zonal_core::PipelineConfig;
 use zonal_gpusim::CostModel;
 
 use crate::admission::{estimate_partition_sim_secs, Admission, AdmissionController};
-use crate::cache::{PartitionKey, ServeCache, ZoneKey};
+use crate::cache::{Answer, AnswerCache};
 use crate::error::ServeError;
 use crate::query::{PlanKey, QueryResponse, ZonalQuery, ZoneSelection};
 use crate::store::RasterStore;
@@ -60,10 +63,9 @@ pub struct ServeConfig {
     /// Simulated-device occupancy ceiling for admission (seconds of
     /// estimated device work in flight).
     pub max_outstanding_sim_secs: f64,
-    /// Result-cache capacity in zone rows (0 disables).
-    pub row_cache_capacity: usize,
-    /// Memoized per-partition intermediate capacity (0 disables).
-    pub partition_cache_capacity: usize,
+    /// Answer-cache capacity in plans: each entry is one plan's whole
+    /// answer at the current store version (0 disables).
+    pub cache_capacity: usize,
 }
 
 impl ServeConfig {
@@ -75,15 +77,14 @@ impl ServeConfig {
             batch_window: Duration::from_millis(1),
             max_batch: 32,
             max_outstanding_sim_secs: 60.0,
-            row_cache_capacity: 4096,
-            partition_cache_capacity: 64,
+            cache_capacity: 64,
         }
     }
 
-    /// Disable both caches (the cache-off arm of the equivalence tests).
+    /// Disable the answer cache (the cache-off arm of the equivalence
+    /// tests).
     pub fn without_caching(mut self) -> Self {
-        self.row_cache_capacity = 0;
-        self.partition_cache_capacity = 0;
+        self.cache_capacity = 0;
         self
     }
 
@@ -113,6 +114,9 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Requests answered.
     pub completed: u64,
+    /// Requests answered with [`ServeError::Failed`] because their
+    /// batch's pipeline pass failed.
+    pub failed: u64,
     /// Sheds at the queue-depth gate.
     pub shed_queue_full: u64,
     /// Sheds at the occupancy gate.
@@ -123,12 +127,17 @@ pub struct ServeStats {
     pub batches: u64,
     /// Requests served across those batches.
     pub batched_queries: u64,
-    /// Partition pipeline passes actually run (Step 0–4).
+    /// Partition pipeline passes run (Steps 0–4): a batch that misses
+    /// the answer cache runs every partition of its band.
     pub pipeline_passes: u64,
-    /// Partition passes skipped via memoized intermediates.
+    /// Partition passes a cached answer saved: a batch that hits the
+    /// answer cache adds its band's partition count, so
+    /// `pipeline_passes + partition_cache_hits` is the sum over batches
+    /// of the partitions in each batch's band.
     pub partition_cache_hits: u64,
-    /// Zone-row result-cache hits / misses.
+    /// Rows served from a batch that found its answer cached.
     pub row_cache_hits: u64,
+    /// Rows served from a batch that had to compute its answer.
     pub row_cache_misses: u64,
 }
 
@@ -146,7 +155,7 @@ impl ServeStats {
         self.shed() as f64 / offered as f64
     }
 
-    /// Row-cache hit fraction of all row lookups.
+    /// Fraction of rows served from cached answers.
     pub fn row_cache_hit_rate(&self) -> f64 {
         let total = self.row_cache_hits + self.row_cache_misses;
         if total == 0 {
@@ -168,6 +177,7 @@ impl ServeStats {
 struct StatCounters {
     submitted: AtomicU64,
     completed: AtomicU64,
+    failed: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_saturated: AtomicU64,
     invalid: AtomicU64,
@@ -175,6 +185,8 @@ struct StatCounters {
     batched_queries: AtomicU64,
     pipeline_passes: AtomicU64,
     partition_cache_hits: AtomicU64,
+    row_cache_hits: AtomicU64,
+    row_cache_misses: AtomicU64,
 }
 
 /// Reply payload: the answer plus its server-side completion time, so
@@ -194,8 +206,8 @@ struct Shared {
     store: Arc<RasterStore>,
     cfg: ServeConfig,
     cost: CostModel,
-    admission: AdmissionController,
-    cache: ServeCache,
+    admission: Arc<AdmissionController>,
+    cache: AnswerCache,
     stats: StatCounters,
     shutting_down: AtomicBool,
 }
@@ -242,8 +254,11 @@ impl ZonalService {
         cfg.validate();
         let shared = Arc::new(Shared {
             cost: CostModel::new(cfg.pipeline.device),
-            admission: AdmissionController::new(cfg.queue_capacity, cfg.max_outstanding_sim_secs),
-            cache: ServeCache::new(cfg.row_cache_capacity, cfg.partition_cache_capacity),
+            admission: Arc::new(AdmissionController::new(
+                cfg.queue_capacity,
+                cfg.max_outstanding_sim_secs,
+            )),
+            cache: AnswerCache::new(cfg.cache_capacity),
             stats: StatCounters::default(),
             shutting_down: AtomicBool::new(false),
             store,
@@ -281,10 +296,10 @@ impl ZonalService {
     /// Current counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared.stats;
-        let (row_hits, row_misses) = self.shared.cache.rows.hit_miss();
         ServeStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
+            failed: s.failed.load(Ordering::Relaxed),
             shed_queue_full: s.shed_queue_full.load(Ordering::Relaxed),
             shed_saturated: s.shed_saturated.load(Ordering::Relaxed),
             invalid: s.invalid.load(Ordering::Relaxed),
@@ -292,27 +307,22 @@ impl ZonalService {
             batched_queries: s.batched_queries.load(Ordering::Relaxed),
             pipeline_passes: s.pipeline_passes.load(Ordering::Relaxed),
             partition_cache_hits: s.partition_cache_hits.load(Ordering::Relaxed),
-            row_cache_hits: row_hits,
-            row_cache_misses: row_misses,
+            row_cache_hits: s.row_cache_hits.load(Ordering::Relaxed),
+            row_cache_misses: s.row_cache_misses.load(Ordering::Relaxed),
         }
     }
 
-    /// Estimated device-seconds a query would add at admission, given
-    /// the current cache state (memoized partitions cost nothing).
+    /// Estimated device-seconds a query would add at admission: zero
+    /// if its plan's answer is cached, else the sum over the band's
+    /// partitions.
     pub fn estimate_sim_secs(&self, query: &ZonalQuery) -> f64 {
         let snap = self.shared.store.snapshot();
-        let plan = query.plan_key();
+        if self.shared.cache.contains(snap.version, query.plan_key()) {
+            return 0.0;
+        }
         snap.band(query.band)
             .iter()
-            .enumerate()
-            .filter(|(i, _)| {
-                !self.shared.cache.partitions.contains(&PartitionKey {
-                    version: snap.version,
-                    plan,
-                    partition: *i,
-                })
-            })
-            .map(|(_, p)| estimate_partition_sim_secs(&self.shared.cost, p.cells()))
+            .map(|p| estimate_partition_sim_secs(&self.shared.cost, p.cells()))
             .sum()
     }
 
@@ -344,6 +354,8 @@ impl ZonalService {
             admission,
             reply: reply_tx,
         };
+        // A request that is not sent is dropped here, and its admission
+        // with it.
         let sent = {
             let guard = self.submit_tx.lock().unwrap_or_else(|p| p.into_inner());
             match guard.as_ref() {
@@ -352,7 +364,6 @@ impl ZonalService {
             }
         };
         if !sent {
-            self.shared.admission.release(admission);
             return Err(ServeError::ShuttingDown);
         }
         self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -485,116 +496,93 @@ fn worker_loop(shared: &Shared, work_rx: &Arc<Mutex<Receiver<Batch>>>, index: us
     }
 }
 
-/// Run one coalesced batch: at most one pipeline pass per partition
-/// regardless of how many queries share the plan, then fan rows back
-/// per request.
+/// Run one coalesced batch: its plan's answer comes from the cache or
+/// from one `run_partitions` call, then each request gets its zones'
+/// rows.
 fn execute_batch(shared: &Shared, (plan, requests): Batch) {
     let mut span = zonal_obs::span("serve batch");
     span.arg("band", plan.band as u64)
         .arg("bins", plan.n_bins as u64)
         .arg("queries", requests.len() as u64);
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
+    let stats = &shared.stats;
+    stats.batches.fetch_add(1, Ordering::Relaxed);
+    stats
         .batched_queries
         .fetch_add(requests.len() as u64, Ordering::Relaxed);
 
     let snap = shared.store.snapshot();
     let version = snap.version;
+    let partitions = snap.band(plan.band);
+    let n_rows: u64 = requests.iter().map(|r| r.zone_ids.len() as u64).sum();
 
-    // Unique zones across the batch, insertion-ordered, and each zone's
-    // slot in that list (zone ids were validated against the layer).
-    let zones = shared.store.zones();
-    let mut slot = vec![u32::MAX; zones.len()];
-    let mut unique: Vec<u32> = Vec::new();
-    for r in &requests {
-        for &z in &r.zone_ids {
-            if slot[z as usize] == u32::MAX {
-                slot[z as usize] = unique.len() as u32;
-                unique.push(z);
-            }
-        }
-    }
-
-    // Fast path: every requested row already cached for this version.
-    let row_key = |zone| ZoneKey {
-        version,
-        plan,
-        zone,
-    };
-    let mut rows: Vec<Option<Arc<Vec<u64>>>> = unique
-        .iter()
-        .map(|&z| shared.cache.rows.get(&row_key(z)))
-        .collect();
-    let all_cached = rows.iter().all(Option::is_some);
-
-    if !all_cached {
-        // Slow path: one pipeline pass per partition (memoized); each
-        // missing row is that zone's row summed over the partitions —
-        // exactly the counts `run_partitions` accumulates.
-        let cfg = shared.cfg.pipeline.with_bins(plan.n_bins);
-        let mut parts: Vec<Arc<ZonalResult>> = Vec::new();
-        for (i, source) in snap.band(plan.band).iter().enumerate() {
-            let key = PartitionKey {
-                version,
-                plan,
-                partition: i,
-            };
-            let part = match shared.cache.partitions.get(&key) {
-                Some(hit) => {
-                    shared
-                        .stats
-                        .partition_cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    zonal_obs::counter("serve_partition_cache_hit").add(1);
-                    hit
-                }
-                None => {
-                    shared.stats.pipeline_passes.fetch_add(1, Ordering::Relaxed);
-                    let r = Arc::new(run_partition(&cfg, zones, source));
-                    shared.cache.partitions.insert(key, Arc::clone(&r));
-                    r
-                }
-            };
-            parts.push(part);
-        }
-        for (&z, row) in unique.iter().zip(rows.iter_mut()) {
-            if row.is_none() {
-                let mut sum = vec![0u64; plan.n_bins];
-                for part in &parts {
-                    for (a, b) in sum.iter_mut().zip(part.hists.zone(z as usize)) {
-                        *a += b;
-                    }
-                }
-                let fresh = Arc::new(sum);
-                shared.cache.rows.insert(row_key(z), Arc::clone(&fresh));
-                *row = Some(fresh);
-            }
-        }
-    } else {
+    let cached = shared.cache.get(version, plan);
+    let from_cache = cached.is_some();
+    let (rows, passes) = if from_cache {
         zonal_obs::counter("serve_batch_fully_cached").add(1);
-    }
+        (&stats.row_cache_hits, &stats.partition_cache_hits)
+    } else {
+        (&stats.row_cache_misses, &stats.pipeline_passes)
+    };
+    rows.fetch_add(n_rows, Ordering::Relaxed);
+    passes.fetch_add(partitions.len() as u64, Ordering::Relaxed);
+
+    let answer = cached.map_or_else(
+        || {
+            let cfg = shared.cfg.pipeline.with_bins(plan.n_bins);
+            let zones = shared.store.zones();
+            catch_unwind(AssertUnwindSafe(|| run_partitions(&cfg, zones, partitions)))
+                .map(|result| {
+                    let answer: Answer = (0..zones.len())
+                        .map(|z| Arc::new(result.hists.zone(z).to_vec()))
+                        .collect();
+                    shared.cache.insert(version, plan, Arc::clone(&answer));
+                    answer
+                })
+                .map_err(|panic| ServeError::Failed(panic_message(panic.as_ref())))
+        },
+        Ok,
+    );
 
     // Fan out: each request gets its zones in request order.
-    for request in requests {
-        let resp = QueryResponse {
-            raster_version: version,
-            n_bins: plan.n_bins,
-            rows: request
-                .zone_ids
-                .iter()
-                .map(|&z| {
-                    let row = rows[slot[z as usize] as usize]
-                        .clone()
-                        .expect("every requested zone was resolved");
-                    (z, row)
+    for Request {
+        zone_ids,
+        admission,
+        reply,
+        ..
+    } in requests
+    {
+        let result = match &answer {
+            Ok(answer) => {
+                stats.completed.fetch_add(1, Ordering::Relaxed);
+                Ok(QueryResponse {
+                    raster_version: version,
+                    n_bins: plan.n_bins,
+                    rows: zone_ids
+                        .into_iter()
+                        .map(|z| (z, Arc::clone(&answer[z as usize])))
+                        .collect(),
+                    from_cache,
                 })
-                .collect(),
-            from_cache: all_cached,
+            }
+            Err(e) => {
+                stats.failed.fetch_add(1, Ordering::Relaxed);
+                Err(e.clone())
+            }
         };
-        shared.admission.release(request.admission);
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = request.reply.send((Ok(resp), Instant::now()));
+        // Release the admission before replying, so a client that
+        // submits again on receipt finds its slot free.
+        drop(admission);
+        let _ = reply.send((result, Instant::now()));
     }
     zonal_obs::gauge("serve_queue_depth").record(shared.admission.depth() as u64);
+}
+
+/// The message of a caught panic payload.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    let why = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    format!("pipeline pass panicked: {why}")
 }

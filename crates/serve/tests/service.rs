@@ -1,5 +1,5 @@
 //! End-to-end service tests: served answers vs the direct pipeline,
-//! shedding, caching, invalidation, and shutdown.
+//! shedding, caching, invalidation, failure recovery, and shutdown.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,19 +106,19 @@ fn repeat_query_hits_cache_bit_identically() {
 }
 
 #[test]
-fn same_plan_reuses_partition_intermediates() {
+fn new_subset_under_cached_plan_runs_no_pass() {
     let store = store(0);
     let service = ZonalService::start(Arc::clone(&store), ServeConfig::new(cfg()));
     service
         .query(ZonalQuery::zone_subset(64, vec![0]))
         .expect("first");
-    // Different zones, same plan: row cache misses, partition cache hits,
-    // so each row is assembled from the two memoized partitions. Zone 2
-    // straddles the partition boundary, so its row sums both.
+    // Different zones, same plan: the first query cached the plan's
+    // whole answer, so the second runs no pass. Zone 2 straddles the
+    // partition boundary, so its row counts cells of both partitions.
     let resp = service
         .query(ZonalQuery::zone_subset(64, vec![2, 1]))
         .expect("second");
-    assert!(!resp.from_cache);
+    assert!(resp.from_cache);
     let want = direct_rows(&store, 64, &[2, 1]);
     assert_eq!(resp.rows[0].0, 2);
     assert_eq!(resp.rows[1].0, 1);
@@ -126,7 +126,7 @@ fn same_plan_reuses_partition_intermediates() {
     assert_eq!(resp.rows[1].1.as_slice(), want[1].as_slice());
     let stats = service.shutdown();
     assert_eq!(stats.pipeline_passes, 2, "partitions decoded only once");
-    assert_eq!(stats.partition_cache_hits, 2, "second query reused both");
+    assert_eq!(stats.partition_cache_hits, 2, "second query saved both");
 }
 
 #[test]
@@ -292,6 +292,11 @@ fn concurrent_same_plan_queries_coalesce() {
         stats.pipeline_passes, 2,
         "one pass per partition serves the whole burst"
     );
+    assert_eq!(
+        stats.pipeline_passes + stats.partition_cache_hits,
+        stats.batches * 2,
+        "every batch either runs or is saved its two partitions"
+    );
 }
 
 #[test]
@@ -317,6 +322,59 @@ fn mixed_plans_do_not_share_passes() {
     }
     let stats = service.shutdown();
     assert_eq!(stats.pipeline_passes, 4, "two plans × two partitions");
+    assert_eq!(
+        stats.pipeline_passes + stats.partition_cache_hits,
+        stats.batches * 2,
+        "every batch either runs or is saved its two partitions"
+    );
+}
+
+#[test]
+fn failed_pass_is_typed_and_the_service_recovers() {
+    let store = store(0);
+    let mut sc = ServeConfig::new(cfg());
+    sc.queue_capacity = 2;
+    let service = ZonalService::start(Arc::clone(&store), sc);
+
+    // A band tiled at 2 cells, while the pipeline's 2.0° tiles at 0.5°
+    // cells need 4: every pass over it fails.
+    let gt = GeoTransform::new(0.0, 0.0, 0.5, 0.5);
+    let raster = Raster::from_fn(8, 8, gt, |r, c| (r + c) as u16);
+    let bad = PartitionSource::new(zonal_bqtree::compress_source(
+        &raster.tile_source(&TileGrid::new(8, 8, 2, gt)),
+    ));
+    service.update_raster(vec![vec![bad]]);
+    for _ in 0..2 {
+        match service.query(ZonalQuery::all_zones(64)) {
+            Err(e @ ServeError::Failed(_)) => {
+                assert!(!e.is_shed());
+                assert!(e.to_string().contains("tile_deg"), "reason kept: {e}");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+
+    let (_, good) = fixture(0);
+    service.update_raster(vec![good]);
+    let resp = service.query(ZonalQuery::all_zones(64)).expect("recovered");
+    let want = direct_rows(&store, 64, &[0, 1, 2]);
+    for (i, (_, row)) in resp.rows.iter().enumerate() {
+        assert_eq!(row.as_slice(), want[i].as_slice());
+    }
+
+    // The failed requests hold no queue depth: both slots are free.
+    let a = service
+        .submit(ZonalQuery::all_zones(32))
+        .expect("first slot");
+    let b = service
+        .submit(ZonalQuery::all_zones(48))
+        .expect("second slot");
+    a.wait().expect("answered");
+    b.wait().expect("answered");
+    let stats = service.shutdown();
+    assert_eq!(stats.failed, 2);
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.submitted, 5);
 }
 
 #[test]
@@ -336,7 +394,7 @@ fn shutdown_drains_admitted_requests() {
 }
 
 #[test]
-fn estimate_shrinks_with_warm_partition_cache() {
+fn estimate_is_zero_for_a_cached_answer() {
     let store = store(0);
     let service = ZonalService::start(store, ServeConfig::new(cfg()));
     let q = ZonalQuery::all_zones(64);
@@ -344,7 +402,7 @@ fn estimate_shrinks_with_warm_partition_cache() {
     assert!(cold > 0.0);
     service.query(q.clone()).expect("warm the cache");
     let warm = service.estimate_sim_secs(&q);
-    assert_eq!(warm, 0.0, "memoized partitions cost nothing to admit");
+    assert_eq!(warm, 0.0, "a cached answer costs nothing to admit");
     let other = service.estimate_sim_secs(&ZonalQuery::all_zones(128));
     assert!((other - cold).abs() < 1e-12, "different plan is still cold");
 }

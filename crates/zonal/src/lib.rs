@@ -42,7 +42,6 @@ pub mod step3;
 pub mod step4;
 pub mod temporal;
 pub mod timing;
-pub mod weighted;
 pub mod zone_cluster;
 
 pub use config::PipelineConfig;
@@ -54,5 +53,4 @@ pub use representative::CellRepresentative;
 pub use stats::{zonal_statistics, ZonalStats};
 pub use temporal::{detect_anomalies, run_epochs, TemporalResult};
 pub use timing::{PipelineCounts, PipelineTimings, StepTiming};
-pub use weighted::{run_weighted, WeightedZoneHistograms};
 pub use zone_cluster::{kmedoids, ZoneClustering};

@@ -415,10 +415,11 @@ pub fn run_partitions<S: TileSource>(
         let mut records: Vec<Option<_>> = (0..sources.len()).map(|_| None).collect();
         std::thread::scope(|s| {
             let (tx, rx) = crossbeam::channel::unbounded();
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
                 let (next, zone_buf) = (&next, &zone_buf);
-                s.spawn(move || loop {
+                handles.push(s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= sources.len() {
                         break;
@@ -430,11 +431,19 @@ pub fn run_partitions<S: TileSource>(
                     if tx.send((i, r)).is_err() {
                         break;
                     }
-                });
+                }));
             }
             drop(tx);
             while let Ok((i, r)) = rx.recv() {
                 records[i] = Some(r);
+            }
+            // Re-raise a worker's panic with its own payload, rather
+            // than the scope's generic one, so callers that catch it
+            // can report why the partition failed.
+            for h in handles {
+                if let Err(panic) = h.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         records

@@ -1,12 +1,13 @@
 //! Property tests for the BQ-Tree codec: lossless round-trip over adversarial
 //! tile shapes and value distributions, and no panic from corrupt ZBQT
-//! bytes.
+//! or ZRAS bytes.
 
 use proptest::prelude::*;
 use zonal_histo::bqtree::file::{read_bq, write_bq};
 use zonal_histo::bqtree::{compress_source, decode_tile, encode_tile};
+use zonal_histo::raster::io::{read_raster, write_raster};
 use zonal_histo::raster::srtm::SyntheticSrtm;
-use zonal_histo::raster::{GeoTransform, TileData, TileGrid, TileSource};
+use zonal_histo::raster::{GeoTransform, Raster, TileData, TileGrid, TileSource};
 
 /// Tile sides run past 128 so that rows span one, two and three 64-bit
 /// bitmap words.
@@ -110,4 +111,39 @@ proptest! {
             }
         }
     }
+
+    /// Truncating a ZRAS file or flipping its bytes either fails to
+    /// load, or loads a raster of the shape its header states.
+    #[test]
+    fn corrupt_zras_is_rejected_or_has_stated_shape(
+        truncate in prop::bool::ANY,
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+    ) {
+        let mut bytes = zras_file();
+        if truncate {
+            bytes.truncate(cut % bytes.len());
+        }
+        for (at, mask) in flips {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+        }
+        if let Ok(raster) = read_raster(&mut bytes.as_slice()) {
+            let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let (rows, cols) = (field(8), field(16));
+            prop_assert_eq!((raster.rows() as u64, raster.cols() as u64), (rows, cols));
+            prop_assert_eq!(raster.data().len() as u64, rows * cols);
+        }
+    }
+}
+
+/// A small raster with a nodata value, serialized as a ZRAS file.
+fn zras_file() -> Vec<u8> {
+    let gt = GeoTransform::new(-80.0, 35.0, 0.01, 0.01);
+    let raster = Raster::from_fn(9, 14, gt, |r, c| (r * 14 + c) as u16).with_nodata(7);
+    let mut bytes = Vec::new();
+    write_raster(&mut bytes, &raster).expect("in-memory write");
+    bytes
 }
